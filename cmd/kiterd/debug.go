@@ -34,8 +34,9 @@ func (s *server) handleDebugTraces(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusMethodNotAllowed, "GET required")
 		return
 	}
+	query := r.URL.Query()
 	limit := defaultTraceListLimit
-	if v := r.URL.Query().Get("limit"); v != "" {
+	if v := query.Get("limit"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n < 1 {
 			httpError(w, http.StatusBadRequest, "limit must be a positive integer")
@@ -43,7 +44,7 @@ func (s *server) handleDebugTraces(w http.ResponseWriter, r *http.Request) {
 		}
 		limit = n
 	}
-	onlyErrors := boolParam(r, "errors")
+	onlyErrors := boolParam(query, "errors")
 	recs := s.obs.recorder.List(0)
 	sums := make([]traceSummary, 0, len(recs))
 	for _, rec := range recs {
@@ -88,7 +89,7 @@ func (s *server) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	records := s.obs.recorder.Get(id)
-	if !boolParam(r, "fleet") {
+	if !boolParam(r.URL.Query(), "fleet") {
 		if len(records) == 0 {
 			httpError(w, http.StatusNotFound, "trace %s not recorded here", id)
 			return

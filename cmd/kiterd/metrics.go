@@ -43,6 +43,7 @@ func registerEngineCollector(reg *telemetry.Registry, e *engine.Engine) {
 		counter("kiter_engine_submitted_total", "Submit calls accepted by the engine.", s.Submitted)
 		counter("kiter_engine_cache_hits_total", "Submissions answered from the memo cache.", s.CacheHits)
 		counter("kiter_engine_cache_misses_total", "Submissions that missed the memo cache.", s.CacheMisses)
+		counter("kiter_engine_alias_hits_total", "Cache hits served by the content-addressed fast path without decoding the request.", s.AliasHits)
 		counter("kiter_engine_deduped_total", "Submissions coalesced onto an in-flight identical job.", s.Deduped)
 		counter("kiter_engine_evaluations_total", "Jobs computed by local workers.", s.Evaluations)
 		counter("kiter_engine_remote_results_total", "Jobs answered by a cluster peer.", s.RemoteResults)

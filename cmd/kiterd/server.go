@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -322,41 +323,24 @@ type analyzeResponse struct {
 }
 
 // boolParam reports whether a query parameter was set truthily.
-func boolParam(r *http.Request, name string) bool {
-	switch r.URL.Query().Get(name) {
+func boolParam(q url.Values, name string) bool {
+	switch q.Get(name) {
 	case "1", "true", "yes":
 		return true
 	}
 	return false
 }
 
-// traceRequested reports whether the client asked for the span tree.
-func traceRequested(r *http.Request) bool { return boolParam(r, "trace") }
-
-// statsRequested reports whether the client asked for the stats snapshot.
-func statsRequested(r *http.Request) bool { return boolParam(r, "stats") }
-
-func (s *server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
-	if !s.admit(w) {
-		return
-	}
-	body, ok := s.readBody(w, r)
-	if !ok {
-		return
-	}
-	// Probe for the "graph" key to tell an envelope from a bare graph body;
-	// envelopes are then decoded strictly so a typo'd knob ("metod",
-	// "anlyses") fails loudly instead of silently running the defaults.
+// decodeAnalyze turns an /analyze body into an engine request under the
+// server's template. Envelopes are told from bare graph bodies by probing
+// for the "graph" key, then decoded strictly so a typo'd knob ("metod",
+// "anlyses") fails loudly instead of silently running the defaults.
+func (s *server) decodeAnalyze(body []byte) (*engine.Request, error) {
 	var probe struct {
 		Graph json.RawMessage `json:"graph"`
 	}
 	if err := json.Unmarshal(body, &probe); err != nil {
-		httpError(w, http.StatusBadRequest, "decoding request: %v", err)
-		return
+		return nil, fmt.Errorf("decoding request: %w", err)
 	}
 	var env analyzeEnvelope
 	graphJSON := json.RawMessage(body) // bare graph body
@@ -364,15 +348,13 @@ func (s *server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		dec := json.NewDecoder(bytes.NewReader(body))
 		dec.DisallowUnknownFields()
 		if err := dec.Decode(&env); err != nil {
-			httpError(w, http.StatusBadRequest, "decoding request: %v", err)
-			return
+			return nil, fmt.Errorf("decoding request: %w", err)
 		}
 		graphJSON = env.Graph
 	}
 	g, err := sdf3x.ReadJSON(bytes.NewReader(graphJSON))
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "decoding graph: %v", err)
-		return
+		return nil, fmt.Errorf("decoding graph: %w", err)
 	}
 
 	req := &engine.Request{
@@ -394,6 +376,29 @@ func (s *server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	if env.Capacities != nil {
 		req.ApplyCapacities = *env.Capacities
 	}
+	return req, nil
+}
+
+// handleAnalyze serves POST /analyze. Refusals (draining, admission shed,
+// body cap) come first. Then the body's SHA-256 is looked up in the
+// engine's alias index: a byte-identical repeat of a body already answered
+// from the cache is served straight from the cache (the fast path), with
+// no JSON decode, validation or fingerprint. Everything else takes the
+// normal path — decode, then Submit with the digest attached, which
+// installs the alias once the body is seen answered from the cache.
+func (s *server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
+	if r.Method != http.MethodPost {
+		httpError(w, http.StatusMethodNotAllowed, "POST required")
+		return
+	}
+	if !s.admit(w) {
+		return
+	}
+	body, ok := s.readBody(w, r)
+	if !ok {
+		return
+	}
+	query := r.URL.Query()
 
 	ctx := r.Context()
 	if s.tmpl.Timeout > 0 {
@@ -409,7 +414,7 @@ func (s *server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	// root via the context, and — in a fleet — the span's context rides the
 	// forward as a traceparent header so the owning replica's handler span
 	// joins the same tree.
-	wantTrace := traceRequested(r)
+	wantTrace := boolParam(query, "trace")
 	var span *telemetry.Span
 	var reqID string
 	start := time.Now()
@@ -454,7 +459,22 @@ func (s *server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		return node
 	}
 
-	res, err := s.e.Submit(ctx, req)
+	digest := engine.DigestOf(body)
+	res, ok := s.e.SubmitAlias(ctx, digest)
+	var err error
+	if !ok {
+		decodeStart := time.Now()
+		var req *engine.Request
+		req, err = s.decodeAnalyze(body)
+		span.Record("decode", decodeStart, time.Since(decodeStart))
+		if err != nil {
+			finishTrace("error", http.StatusBadRequest)
+			httpError(w, http.StatusBadRequest, "%v", err)
+			return
+		}
+		req.Alias = &digest
+		res, err = s.e.Submit(ctx, req)
+	}
 	if err != nil {
 		switch {
 		case errors.Is(err, engine.ErrOverloaded):
@@ -480,7 +500,7 @@ func (s *server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp := analyzeResponse{Result: res}
-	if statsRequested(r) {
+	if boolParam(query, "stats") {
 		st := s.e.Stats()
 		resp.Stats = &st
 	}

@@ -99,6 +99,10 @@ type Engine struct {
 	flight *flightGroup
 	stats  counters
 
+	// aliases is the content-addressed fast path's index (SubmitAlias),
+	// capped at CacheCapacity entries; nil when caching is disabled.
+	aliases *aliasIndex
+
 	// slots is the evaluation-slot semaphore backing the slot-weighted
 	// pool: it holds Workers tokens, a worker takes one for the duration of
 	// each job, and a race borrows extras (borrowSlots) for its concurrent
@@ -208,6 +212,9 @@ func New(cfg Config) *Engine {
 		flight: newFlightGroup(),
 		closed: make(chan struct{}),
 		slots:  make(chan struct{}, cfg.Workers),
+	}
+	if cache != nil {
+		e.aliases = newAliasIndex(cfg.CacheCapacity)
 	}
 	e.shutdownCtx, e.shutdown = context.WithCancel(context.Background())
 	e.met = newInstruments(cfg.Metrics)
@@ -323,6 +330,12 @@ func (e *Engine) Submit(ctx context.Context, req *Request) (*Result, error) {
 		}
 		if ok {
 			e.stats.cacheHits.Add(1)
+			// Second sighting: the body behind this request has now been
+			// answered from the cache once, so repeats of it are worth an
+			// alias. Bodies that never repeat never take a slot.
+			if req.Alias != nil {
+				e.aliases.put(*req.Alias, aliasTarget{key: key, graph: req.Graph.Name})
+			}
 			out := res.shallowCopy()
 			out.Graph = req.Graph.Name
 			out.CacheHit = true

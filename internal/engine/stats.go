@@ -35,6 +35,7 @@ var raceMethods = [...]Method{MethodKIter, MethodPeriodic, MethodSymbolic}
 type counters struct {
 	submitted     atomic.Uint64
 	cacheHits     atomic.Uint64
+	aliasHits     atomic.Uint64
 	cacheMisses   atomic.Uint64
 	deduped       atomic.Uint64
 	evaluations   atomic.Uint64
@@ -84,6 +85,9 @@ type Stats struct {
 	CacheHits   uint64 `json:"cacheHits"`
 	CacheMisses uint64 `json:"cacheMisses"`
 	Deduped     uint64 `json:"deduped"`
+	// AliasHits counts the CacheHits served by the content-addressed fast
+	// path (SubmitAlias), without decoding the request.
+	AliasHits uint64 `json:"aliasHits"`
 	// Evaluations counts jobs actually computed by workers on this
 	// replica; RemoteResults the jobs answered by a cluster peer through
 	// the Dispatcher instead.
@@ -172,6 +176,7 @@ func (s Stats) Delta(prev Stats) Stats {
 		CacheHits:      sub(s.CacheHits, prev.CacheHits),
 		CacheMisses:    sub(s.CacheMisses, prev.CacheMisses),
 		Deduped:        sub(s.Deduped, prev.Deduped),
+		AliasHits:      sub(s.AliasHits, prev.AliasHits),
 		Evaluations:    sub(s.Evaluations, prev.Evaluations),
 		RemoteResults:  sub(s.RemoteResults, prev.RemoteResults),
 		ClaimsGranted:  sub(s.ClaimsGranted, prev.ClaimsGranted),
@@ -276,6 +281,7 @@ func (e *Engine) Stats() Stats {
 		CacheHits:      hits,
 		CacheMisses:    misses,
 		Deduped:        e.stats.deduped.Load(),
+		AliasHits:      e.stats.aliasHits.Load(),
 		Evaluations:    e.stats.evaluations.Load(),
 		RemoteResults:  e.stats.remote.Load(),
 		ClaimsGranted:  e.stats.claimsGranted.Load(),

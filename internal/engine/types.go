@@ -95,6 +95,14 @@ type Request struct {
 	// forwarding loops impossible) even when replicas' health views
 	// diverge about a key's owner.
 	NoForward bool
+	// Alias, when set, is the DigestOf the serialized body this request
+	// was decoded from. Equal digests must always decode to equal
+	// requests (any caller defaults applied during decoding must be the
+	// same for every submission to this engine). When the submission is
+	// answered from the memo cache, the engine records Alias → cache key,
+	// so SubmitAlias can answer later byte-identical bodies without
+	// decoding them.
+	Alias *Digest
 
 	// cacheKeyHint and fingerprintHint are filled by Submit on the
 	// prepared request handed to workers, so the hash is computed once.

@@ -37,8 +37,9 @@ type jsonBuffer struct {
 	Capacity int64   `json:"capacity,omitempty"`
 }
 
-// WriteJSON marshals g. Task references use names, so every task must have
-// a unique non-empty name; unnamed tasks are emitted as "tN".
+// WriteJSON marshals g. Task references use names, so every task is
+// emitted under a unique non-empty name: unnamed and duplicate-named tasks
+// are emitted as "tN" (N the task ID), suffixed when that is taken too.
 func WriteJSON(w io.Writer, g *csdf.Graph) error {
 	names := taskNames(g)
 	jg := jsonGraph{Name: g.Name}
@@ -96,7 +97,13 @@ func taskNames(g *csdf.Graph) []string {
 	for _, t := range g.Tasks() {
 		n := t.Name
 		if n == "" || used[n] {
+			// The fallback may itself be taken by an earlier task's own
+			// name ("t1" then an unnamed task 1); emitting it twice would
+			// make the output unreadable by ReadJSON.
 			n = fmt.Sprintf("t%d", t.ID)
+			for i := 1; used[n]; i++ {
+				n = fmt.Sprintf("t%d_%d", t.ID, i)
+			}
 		}
 		used[n] = true
 		names[t.ID] = n

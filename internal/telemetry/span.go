@@ -178,15 +178,17 @@ func (s *Span) Event(name string, kv ...any) {
 // Record attaches an already-measured phase as a completed child span —
 // for phases whose start and end are observed in different goroutines
 // (queue wait: enqueue vs. worker dequeue) where threading a live span
-// through would be noise.
-func (s *Span) Record(name string, start time.Time, d time.Duration) {
+// through would be noise. It returns the child so the caller can attach
+// attributes (nil, itself a no-op span, when s is nil).
+func (s *Span) Record(name string, start time.Time, d time.Duration) *Span {
 	if s == nil {
-		return
+		return nil
 	}
 	child := &Span{name: name, start: start, dur: d, ended: true}
 	s.mu.Lock()
 	s.children = append(s.children, child)
 	s.mu.Unlock()
+	return child
 }
 
 // SpanNode is the exported JSON form of a span tree, as returned by
