@@ -6,9 +6,11 @@
 // BenchmarkTable1_* covers the four SDFG categories × three optimal
 // methods; BenchmarkTable2_* covers the industrial and synthetic CSDFGs ×
 // three methods (with and without buffer bounds); BenchmarkFig* covers the
-// figure reproductions; BenchmarkAblation* covers the design choices
-// called out in DESIGN.md. Absolute numbers are machine-specific — the
-// shapes to check are recorded in EXPERIMENTS.md.
+// figure reproductions; BenchmarkAblation* isolates three design choices:
+// exact certification on top of the float64 Howard pass, the paper's lcm
+// periodicity update against jumping straight to K = q, and the choice of
+// maximum-cycle-ratio engine. Absolute numbers are machine-specific — the
+// shape to check is in the README's "Benchmarks and substitutions".
 package kiter_test
 
 import (
@@ -192,7 +194,7 @@ func BenchmarkFig5BivaluedGraph(b *testing.B) {
 	}
 }
 
-// --- Ablations (DESIGN.md §6) --------------------------------------------
+// --- Ablations ---------------------------------------------------------------
 
 // BenchmarkAblationCertification isolates the cost of the exact
 // certification pass on top of the float64 Howard fast path.

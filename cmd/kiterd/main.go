@@ -21,10 +21,10 @@
 //	                histograms, cache and cluster counters, build info
 //
 // POST /analyze?trace=1 additionally returns the request's span tree
-// (submit → cache lookup → queue wait → solve/analysis phases); with
-// -trace-log FILE every analyze request appends its tree as one NDJSON
-// line with a request ID. -pprof-addr serves net/http/pprof on a separate
-// listener; -version prints the build block and exits.
+// (submit → cache lookup → queue wait → solve/analysis phases); the
+// always-on flight recorder keeps recent trees behind GET /debug/traces
+// (-trace-buffer sizes it). -pprof-addr serves net/http/pprof on a
+// separate listener; -version prints the build block and exits.
 //
 // Batch mode streams a directory (every .json/.xml graph under it) or a
 // manifest file (one graph path per line) through the engine in parallel
@@ -69,18 +69,13 @@
 // fleet cache tier behind the local memory→disk tiers: a miss is answered
 // from the key's ring owner over POST /cluster/cache/get (a cold replica
 // warm-starts from its peers, including its own shard via the ring
-// successor), and every local evaluation is published to its owner.
-// -claim-lease (default 30s, 0 disables) extends singleflight across
-// processes: before evaluating, a replica claims the key at its ring owner
-// over POST /cluster/claim, so duplicate submissions through different
-// replicas cost exactly one evaluation even with caching off; a crashed
-// holder's lease expires and the key is re-claimed. All of it rides the
-// binary result codec (internal/resultcodec) — the same frames the disk
-// cache stores — and degrades to local tiers and local solves behind the
+// successor), and every local evaluation is published to its owner. It
+// rides the binary result codec (internal/resultcodec) — the same frames
+// the disk cache stores — and degrades to the local tiers behind the
 // per-peer circuit breakers:
 //
 //	kiterd -addr 127.0.0.1:9101 -peers 127.0.0.1:9102,127.0.0.1:9103 \
-//	       -cache-fleet -claim-lease 30s
+//	       -cache-fleet
 //
 // HTTP mode drains on SIGTERM/SIGINT: readiness flips to 503 and new
 // submissions are refused (503 + Retry-After) while in-flight requests —
@@ -100,7 +95,7 @@
 //	kiterd [-addr :8080] [-workers N] [-cache N] [-method race]
 //	       [-cache-dir dir] [-cache-disk-bytes N] [-capacities]
 //	       [-peers host:port,…] [-self host:port] [-forward-timeout 0]
-//	       [-cache-fleet] [-claim-lease 30s]
+//	       [-cache-fleet]
 //	       [-analyses throughput] [-timeout 60s] [-stats-out stats.json]
 //	       [-drain-timeout 30s] [-chaos spec]
 //	       [-batch dir-or-manifest] [-sweep spec.json]
@@ -165,8 +160,6 @@ func run() error {
 		selfAddr       = flag.String("self", "", "advertised cluster address of this replica (default: derived from -addr); every replica must list it under exactly this string")
 		forwardTimeout = flag.Duration("forward-timeout", 0, "per-job cluster forward budget before local fallback (0 = -timeout)")
 		cacheFleet     = flag.Bool("cache-fleet", false, "compose a fleet cache tier behind the local tiers: misses are answered from the key's ring owner over /cluster/cache and local results are published to their owner, so cold replicas warm-start from the fleet (requires -peers)")
-		claimLease     = flag.Duration("claim-lease", 30*time.Second, "cross-process singleflight lease: before evaluating, claim the key at its ring owner so duplicate submissions through different replicas cost one evaluation; the lease bounds how long a crashed holder blocks a key (0 disables; only with -peers)")
-		traceLogPath   = flag.String("trace-log", "", "append every /analyze request's span tree as one NDJSON line to this file")
 		traceBuffer    = flag.Int("trace-buffer", 256, "HTTP mode: capacity of the always-on flight recorder behind GET /debug/traces — a bounded ring of recent traces biased toward keeping the slowest and errored ones (0 disables tracing entirely)")
 		pprofAddr      = flag.String("pprof-addr", "", "serve net/http/pprof on this separate address (empty = disabled)")
 		drainTimeout   = flag.Duration("drain-timeout", 30*time.Second, "HTTP mode: budget for in-flight requests to finish after SIGTERM/SIGINT before connections are cut")
@@ -201,7 +194,7 @@ func run() error {
 	telemetry.RegisterRuntimeMetrics(reg)
 
 	// The flight recorder is built before the cluster so the cluster's
-	// handler-side spans (evaluate/cache/claim served for peers) record
+	// handler-side spans (evaluate and cache hops served for peers) record
 	// into the same buffer the local /analyze roots do.
 	var recorder *telemetry.Recorder
 	var exemplar *telemetry.ExemplarTracker
@@ -211,17 +204,13 @@ func run() error {
 		exemplar.Register(reg)
 	}
 
-	cl, err := buildCluster(*peers, *selfAddr, *addr, *forwardTimeout, *timeout, *workers, *claimLease, reg, recorder)
+	cl, err := buildCluster(*peers, *selfAddr, *addr, *forwardTimeout, *timeout, *workers, reg, recorder)
 	if err != nil {
 		return err
 	}
 	var dispatcher engine.Dispatcher
-	var claims engine.Claimer
 	if cl != nil {
 		dispatcher = cl
-		if *claimLease > 0 {
-			claims = cl
-		}
 		// The cluster outlives the engine: in-flight dispatches finish
 		// during e.Close, then the prober stops.
 		defer cl.Close()
@@ -262,7 +251,6 @@ func run() error {
 		Options:       kperiodic.Options{MaxNodes: *maxNodes, MaxPairs: *maxPairs},
 		Symbolic:      symbexec.Options{MaxEvents: *symEvents},
 		Dispatcher:    dispatcher,
-		Claims:        claims,
 		Metrics:       reg,
 	})
 	defer e.Close()
@@ -335,20 +323,12 @@ func run() error {
 		}
 		return runBatch(e, paths, tmpl, os.Stdout, *ndjson)
 	default:
-		var traceLog *telemetry.TraceLog
-		if *traceLogPath != "" {
-			traceLog, err = telemetry.OpenTraceLog(*traceLogPath)
-			if err != nil {
-				return fmt.Errorf("opening -trace-log: %w", err)
-			}
-			defer traceLog.Close()
-		}
 		process := ""
 		if cl != nil {
 			process = cl.Self()
 		}
 		srv := newServer(e, tmpl, cl, observability{
-			reg: reg, traceLog: traceLog, recorder: recorder,
+			reg: reg, recorder: recorder,
 			exemplar: exemplar, process: process, build: build,
 		})
 		srv.admission = adm
@@ -367,9 +347,7 @@ func run() error {
 // to the name the peers dial, because addresses are ring identities.
 // workers (the -workers flag, 0 = GOMAXPROCS) sizes the forwarding
 // transport's per-peer connection pool to the engine's concurrency.
-// claimLease (the -claim-lease flag) enables the cross-process
-// singleflight claim client when positive.
-func buildCluster(peers, self, addr string, forwardTimeout, requestTimeout time.Duration, workers int, claimLease time.Duration, reg *telemetry.Registry, recorder *telemetry.Recorder) (*cluster.Cluster, error) {
+func buildCluster(peers, self, addr string, forwardTimeout, requestTimeout time.Duration, workers int, reg *telemetry.Registry, recorder *telemetry.Recorder) (*cluster.Cluster, error) {
 	if peers == "" {
 		return nil, nil
 	}
@@ -401,7 +379,6 @@ func buildCluster(peers, self, addr string, forwardTimeout, requestTimeout time.
 		Peers:          list,
 		ForwardTimeout: forwardTimeout,
 		Workers:        workers,
-		ClaimLease:     claimLease,
 		Metrics:        reg,
 		Recorder:       recorder,
 	})

@@ -53,8 +53,6 @@ func registerEngineCollector(reg *telemetry.Registry, e *engine.Engine) {
 		counter("kiter_panics_total", "Solver panics recovered into job errors (also counted under errors).", s.Panics)
 		counter("kiter_race_extra_slots_total", "Evaluation slots borrowed for extra race contestants.", s.RaceExtraSlots)
 		counter("kiter_race_starved_total", "Races that found fewer free slots than contestants.", s.RaceStarved)
-		counter("kiter_engine_claims_granted_total", "Cross-process claims granted to this replica (it went on to evaluate).", s.ClaimsGranted)
-		counter("kiter_engine_claims_served_total", "Submissions answered with a peer's claimed result (also counted under remote results).", s.ClaimsServed)
 
 		gauge("kiter_engine_workers", "Configured worker pool size.", float64(s.Workers))
 		gauge("kiter_engine_pending", "Jobs submitted but not yet finished.", float64(s.Pending))

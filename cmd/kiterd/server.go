@@ -26,15 +26,13 @@ import (
 const maxBodyBytes = 64 << 20
 
 // observability bundles the telemetry seams handed to the server: the
-// metrics registry behind GET /metrics, the optional -trace-log NDJSON
-// sink, the always-on flight recorder behind GET /debug/traces, the
-// exemplar tracker linking /metrics latency to trace IDs, and the build
-// block reported by /stats. The zero value is a fully quiet server (no
-// /metrics endpoint, no per-request histograms, no trace log, no
-// recorder) — what most tests want.
+// metrics registry behind GET /metrics, the always-on flight recorder
+// behind GET /debug/traces, the exemplar tracker linking /metrics latency
+// to trace IDs, and the build block reported by /stats. The zero value is
+// a fully quiet server (no /metrics endpoint, no per-request histograms,
+// no recorder) — what most tests want.
 type observability struct {
 	reg      *telemetry.Registry
-	traceLog *telemetry.TraceLog
 	recorder *telemetry.Recorder
 	exemplar *telemetry.ExemplarTracker
 	// process names this replica in recorded traces — the cluster self
@@ -72,7 +70,7 @@ type server struct {
 	// pending slot). Nil admits everything — the engine's hard MaxPending
 	// cliff is then the only shedding.
 	admission *resilience.Admission
-	// reqSeq numbers traced requests for the trace log.
+	// reqSeq numbers requests that arrive without an X-Request-ID.
 	reqSeq atomic.Uint64
 }
 
@@ -115,9 +113,8 @@ func newServer(e *engine.Engine, tmpl requestTemplate, cl *cluster.Cluster, obs 
 		})
 		// The shared-result-space endpoints. Reads keep serving through a
 		// drain — peers warming from this replica's shard cost nothing and
-		// beat a recomputation — while writes and claims are refused: a
-		// process on its way out must not accept new state or grant leases
-		// its exit would strand (callers degrade to local solves).
+		// beat a recomputation — while writes are refused: a process on its
+		// way out must not accept new state its exit would strand.
 		s.mux.Handle("/cluster/cache/get", cl.CacheGetHandler())
 		ph := cl.CachePutHandler()
 		s.mux.HandleFunc("/cluster/cache/put", func(w http.ResponseWriter, r *http.Request) {
@@ -127,15 +124,6 @@ func newServer(e *engine.Engine, tmpl requestTemplate, cl *cluster.Cluster, obs 
 				return
 			}
 			ph.ServeHTTP(w, r)
-		})
-		ch := cl.ClaimHandler()
-		s.mux.HandleFunc("/cluster/claim", func(w http.ResponseWriter, r *http.Request) {
-			if s.draining.Load() {
-				w.Header().Set("Retry-After", "1")
-				httpError(w, http.StatusServiceUnavailable, "draining")
-				return
-			}
-			ch.ServeHTTP(w, r)
 		})
 	}
 	return s
@@ -195,7 +183,7 @@ func retryAfter(d time.Duration) string {
 func endpointLabel(path string) string {
 	switch path {
 	case "/analyze", "/sweep", "/healthz", "/stats", "/metrics",
-		"/cluster/evaluate", "/cluster/cache/get", "/cluster/cache/put", "/cluster/claim":
+		"/cluster/evaluate", "/cluster/cache/get", "/cluster/cache/put":
 		return path
 	}
 	if strings.HasPrefix(path, "/debug/traces") {
@@ -314,7 +302,7 @@ type analyzeEnvelope struct {
 // each response with telemetry that grows with the fleet, so it is opt-in
 // via ?stats=1 (GET /stats remains the zero-argument way to read it). With
 // ?trace=1 the reply also carries the request's span tree and its
-// trace-log request ID.
+// request ID, the same one GET /debug/traces lists.
 type analyzeResponse struct {
 	Result    *engine.Result      `json:"result"`
 	Stats     *engine.Stats       `json:"stats,omitempty"`
@@ -407,18 +395,17 @@ func (s *server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		defer cancel()
 	}
 
-	// A span tree is built when the client asked for it (?trace=1), the
-	// process logs traces (-trace-log), or a flight recorder is running
-	// (always the case under -trace-buffer > 0); the engine's
-	// instrumentation hangs its submit/solve/analysis children off this
-	// root via the context, and — in a fleet — the span's context rides the
-	// forward as a traceparent header so the owning replica's handler span
-	// joins the same tree.
+	// A span tree is built when the client asked for it (?trace=1) or a
+	// flight recorder is running (always the case under -trace-buffer >
+	// 0); the engine's instrumentation hangs its submit/solve/analysis
+	// children off this root via the context, and — in a fleet — the
+	// span's context rides the forward as a traceparent header so the
+	// owning replica's handler span joins the same tree.
 	wantTrace := boolParam(query, "trace")
 	var span *telemetry.Span
 	var reqID string
 	start := time.Now()
-	if wantTrace || s.obs.traceLog != nil || s.obs.recorder != nil {
+	if wantTrace || s.obs.recorder != nil {
 		reqID = s.middlewareRequestID(w)
 		span = telemetry.NewTrace("analyze")
 		span.SetAttr("requestId", reqID)
@@ -427,10 +414,10 @@ func (s *server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		// to pull, and the middleware links it to the latency exemplar.
 		w.Header().Set(traceIDHeader, span.Context().TraceID)
 	}
-	// finishTrace ends the root, flushes it to the trace log, and files it
-	// in the flight recorder; it runs on the error path too, so failed and
-	// timed-out requests leave a record (errored traces are exactly the
-	// ones the recorder's tail-biased retention fights to keep).
+	// finishTrace ends the root and files it in the flight recorder; it
+	// runs on the error path too, so failed and timed-out requests leave a
+	// record (errored traces are exactly the ones the recorder's
+	// tail-biased retention fights to keep).
 	finishTrace := func(status string, code int) *telemetry.SpanNode {
 		if span == nil {
 			return nil
@@ -438,11 +425,6 @@ func (s *server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		span.SetAttr("status", status)
 		span.End()
 		node := span.Snapshot()
-		if s.obs.traceLog != nil {
-			_ = s.obs.traceLog.Append(telemetry.TraceRecord{
-				RequestID: reqID, Endpoint: "/analyze", Trace: node,
-			})
-		}
 		if s.obs.recorder != nil {
 			s.obs.recorder.Add(telemetry.RecordedTrace{
 				TraceID:       span.Context().TraceID,

@@ -5,8 +5,6 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
@@ -20,14 +18,14 @@ import (
 // newObsServer builds a server with the full observability wiring of a real
 // kiterd process: a shared registry feeding the engine instruments, the
 // scrape-time stats collector and the /metrics endpoint.
-func newObsServer(t *testing.T, tl *telemetry.TraceLog) *server {
+func newObsServer(t *testing.T, recorder *telemetry.Recorder) *server {
 	t.Helper()
 	reg := telemetry.NewRegistry()
 	e := engine.New(engine.Config{Workers: 4, Metrics: reg})
 	t.Cleanup(e.Close)
 	registerEngineCollector(reg, e)
 	registerBuildInfo(reg, readBuildInfo())
-	return newServer(e, testTemplate(), nil, observability{reg: reg, traceLog: tl})
+	return newServer(e, testTemplate(), nil, observability{reg: reg, recorder: recorder})
 }
 
 // scrape GETs /metrics and returns the exposition body.
@@ -204,43 +202,53 @@ func TestAnalyzeTrace(t *testing.T) {
 	}
 }
 
-// TestTraceLogNDJSON boots a server with -trace-log wiring and checks every
-// analyze request appends one parseable NDJSON record with a distinct
-// request ID — including requests that did not ask for ?trace=1.
-func TestTraceLogNDJSON(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "traces.ndjson")
-	tl, err := telemetry.OpenTraceLog(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := newObsServer(t, tl)
-	postAnalyze(t, srv, "/analyze?trace=1")
+// TestDebugTracesRecordEveryAnalyze checks the flight recorder keeps one
+// record per /analyze request, each with a distinct request ID and a span
+// tree — including requests that did not ask for ?trace=1 — and that the
+// ID a traced reply carries is the one GET /debug/traces lists.
+func TestDebugTracesRecordEveryAnalyze(t *testing.T) {
+	srv := newObsServer(t, telemetry.NewRecorder(16))
+	traced := postAnalyze(t, srv, "/analyze?trace=1")
 	postAnalyze(t, srv, "/analyze")
-	if err := tl.Close(); err != nil {
-		t.Fatal(err)
-	}
 
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
+	get := func(path string, v any) {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("GET %s status = %d, body %s", path, rec.Code, rec.Body)
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), v); err != nil {
+			t.Fatalf("GET %s: %v", path, err)
+		}
 	}
-	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("trace log has %d lines, want 2:\n%s", len(lines), data)
+	var listing struct {
+		Recorded uint64         `json:"recorded"`
+		Traces   []traceSummary `json:"traces"`
+	}
+	get("/debug/traces", &listing)
+	if listing.Recorded != 2 || len(listing.Traces) != 2 {
+		t.Fatalf("recorder holds %d of %d traces, want 2: %+v", len(listing.Traces), listing.Recorded, listing.Traces)
 	}
 	seen := map[string]bool{}
-	for _, line := range lines {
-		var rec telemetry.TraceRecord
-		if err := json.Unmarshal([]byte(line), &rec); err != nil {
-			t.Fatalf("unparseable trace line %q: %v", line, err)
+	for _, sum := range listing.Traces {
+		if sum.RequestID == "" || sum.Endpoint != "/analyze" || sum.TraceID == "" {
+			t.Fatalf("incomplete trace summary: %+v", sum)
 		}
-		if rec.RequestID == "" || rec.Endpoint != "/analyze" || rec.Trace == nil {
-			t.Fatalf("incomplete trace record: %+v", rec)
+		if seen[sum.RequestID] {
+			t.Fatalf("duplicate request ID %s", sum.RequestID)
 		}
-		if seen[rec.RequestID] {
-			t.Fatalf("duplicate request ID %s", rec.RequestID)
+		seen[sum.RequestID] = true
+		var detail struct {
+			Records []telemetry.RecordedTrace `json:"records"`
 		}
-		seen[rec.RequestID] = true
+		get("/debug/traces/"+sum.TraceID, &detail)
+		if len(detail.Records) != 1 || detail.Records[0].Root == nil {
+			t.Fatalf("trace %s has no span tree: %+v", sum.TraceID, detail.Records)
+		}
+	}
+	if traced.RequestID == "" || !seen[traced.RequestID] {
+		t.Fatalf("traced reply's request ID %q not in the listing %v", traced.RequestID, seen)
 	}
 }
 

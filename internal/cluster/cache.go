@@ -123,7 +123,6 @@ func NewRemoteCache(c *Cluster) *RemoteCache {
 	for i := 0; i < cachePutWorkers; i++ {
 		go rc.putWorker()
 	}
-	c.remoteTier.Store(true)
 	return rc
 }
 
@@ -251,9 +250,9 @@ func (rc *RemoteCache) fetch(parent context.Context, owner, key string) (*engine
 // Put implements engine.CacheBackend: publish res to its ring owner,
 // asynchronously (the caller is the evaluation hot path). Results that
 // came from the fleet in the first place (Peer set: remote cache hits,
-// forwarded evaluations, claim serves) are skipped — their owner already
-// has them — as are keys this replica owns itself: local tiers hold those,
-// and peers fetch them from here via the successor rule.
+// forwarded evaluations) are skipped — their owner already has them — as
+// are keys this replica owns itself: local tiers hold those, and peers
+// fetch them from here via the successor rule.
 func (rc *RemoteCache) Put(key string, res *engine.Result) {
 	rc.PutCtx(context.Background(), key, res)
 }
@@ -307,7 +306,7 @@ func (rc *RemoteCache) push(p remotePut) {
 		return
 	}
 	start := time.Now()
-	err := rc.c.cachePush(p.owner, p.key, p.body, p.traceparent)
+	err := rc.send(p)
 	rc.mRTT.With("put").Observe(time.Since(start).Seconds())
 	if err != nil {
 		rc.c.noteForwardFailure(ps)
@@ -319,37 +318,36 @@ func (rc *RemoteCache) push(p remotePut) {
 	rc.bytesMoved.Add(uint64(len(p.body)))
 }
 
-// cachePush POSTs one encoded record to owner's put endpoint. Shared with
-// the claim client, which publishes held-claim results the same way.
-// traceparent, when non-empty, rides along so the owner's handler joins
-// the publishing request's trace.
-func (c *Cluster) cachePush(owner, key string, frame []byte, traceparent string) error {
-	ctx, cancel := context.WithTimeout(context.Background(), c.opTimeout())
+// send POSTs one encoded record to its owner's put endpoint. The
+// publishing request's traceparent, when set, rides along so the owner's
+// handler joins that trace.
+func (rc *RemoteCache) send(p remotePut) error {
+	ctx, cancel := context.WithTimeout(context.Background(), rc.c.opTimeout())
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		"http://"+owner+"/cluster/cache/put", bytes.NewReader(frame))
+		"http://"+p.owner+"/cluster/cache/put", bytes.NewReader(p.body))
 	if err != nil {
 		return err
 	}
 	req.Header.Set("Content-Type", resultContentType)
-	req.Header.Set(cacheKeyHeader, key)
-	req.Header.Set(peerHeader, c.self)
-	if traceparent != "" {
-		req.Header.Set(telemetry.Traceparent, traceparent)
+	req.Header.Set(cacheKeyHeader, p.key)
+	req.Header.Set(peerHeader, rc.c.self)
+	if p.traceparent != "" {
+		req.Header.Set(telemetry.Traceparent, p.traceparent)
 	}
-	resp, err := c.cfg.Client.Do(req)
+	resp, err := rc.c.cfg.Client.Do(req)
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
 	io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
 	if resp.StatusCode != http.StatusNoContent && resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("cluster: cache put to %s: %s", owner, resp.Status)
+		return fmt.Errorf("cluster: cache put to %s: %s", p.owner, resp.Status)
 	}
 	return nil
 }
 
-// opTimeout bounds one cache/claim round trip. These are index lookups
+// opTimeout bounds one cache round trip. These are index lookups
 // and byte copies, not analyses, so they get a fraction of the forward
 // timeout — a slow owner must cost less than the recomputation it saves.
 func (c *Cluster) opTimeout() time.Duration {
@@ -390,8 +388,8 @@ func (rc *RemoteCache) TierStats() []engine.CacheTierStats {
 // SetLocalCache hands the cluster the backend its cache handlers serve
 // from — the replica's local tiers (memory→disk), never the fleet tier
 // itself, which would recurse. kiterd wires this before mounting the
-// handlers; a cluster without it answers every cache get from the claim
-// buffer only.
+// handlers; a cluster without it answers every cache get with a miss and
+// drops every put.
 func (c *Cluster) SetLocalCache(b engine.CacheBackend) {
 	c.localCache.Store(&b)
 }
@@ -404,10 +402,8 @@ func (c *Cluster) localBackend() engine.CacheBackend {
 }
 
 // CacheGetHandler serves POST /cluster/cache/get: the owner-side lookup
-// of the fleet tier. It consults the replica's local tiers, then the
-// claim table's publish buffer (which holds results briefly even when the
-// local memo cache is disabled), and replies 200 + resultcodec frame or
-// 204 on a miss.
+// of the fleet tier. It consults the replica's local tiers and replies
+// 200 + resultcodec frame, or 204 on a miss.
 func (c *Cluster) CacheGetHandler() http.Handler {
 	return http.HandlerFunc(func(pw http.ResponseWriter, r *http.Request) {
 		sw := &statusCapture{ResponseWriter: pw, code: http.StatusOK}
@@ -430,9 +426,6 @@ func (c *Cluster) CacheGetHandler() http.Handler {
 				res = hit
 			}
 		}
-		if res == nil {
-			res = c.claims.published(key)
-		}
 		span.SetAttr("hit", res != nil)
 		if res == nil {
 			w.WriteHeader(http.StatusNoContent)
@@ -446,11 +439,9 @@ func (c *Cluster) CacheGetHandler() http.Handler {
 
 // CachePutHandler serves POST /cluster/cache/put: a peer publishing a
 // result it evaluated for a key this replica owns. The record lands in
-// the local tiers (whose quotas are the fleet's size/retention policy for
-// this shard) and in the claim table, where it completes any open claim
-// on the key and serves claim waiters even on cache-less replicas.
-// Oversized and undecodable frames are rejected — the owner enforces the
-// policy, it does not trust the publisher.
+// the local tiers, whose quotas are the fleet's size/retention policy for
+// this shard. Oversized and undecodable frames are rejected — the owner
+// enforces the policy, it does not trust the publisher.
 func (c *Cluster) CachePutHandler() http.Handler {
 	return http.HandlerFunc(func(pw http.ResponseWriter, r *http.Request) {
 		sw := &statusCapture{ResponseWriter: pw, code: http.StatusOK}
@@ -489,7 +480,6 @@ func (c *Cluster) CachePutHandler() http.Handler {
 		if b := c.localBackend(); b != nil {
 			b.Put(key, res)
 		}
-		c.claims.publish(key, res, c.claimRetention())
 		w.WriteHeader(http.StatusNoContent)
 	})
 }

@@ -80,15 +80,6 @@ type Config struct {
 	// request past 2 concurrent forwards). Zero defaults to GOMAXPROCS,
 	// matching the engine's own worker default.
 	Workers int
-	// ClaimLease enables cross-process singleflight when positive: every
-	// leader job claims its cache key at the key's ring owner before
-	// evaluating, and a claim is held for this lease (a crashed holder's
-	// key frees itself on expiry). Zero/negative disables claims — the
-	// Cluster still serves /cluster/claim for peers that have them on.
-	ClaimLease time.Duration
-	// ClaimPoll is the interval at which a denied claimant polls the
-	// owner's publish buffer for the holder's result (default 25ms).
-	ClaimPoll time.Duration
 	// Client overrides the forwarding HTTP client (tests). When nil, a
 	// client over a dedicated transport sized by Workers is built.
 	Client *http.Client
@@ -97,7 +88,7 @@ type Config struct {
 	Metrics *telemetry.Registry
 	// Recorder, when non-nil, receives the handler-side span trees of the
 	// cross-process hops this replica serves (/cluster/evaluate, cache get
-	// and put, claim) — each recorded under the caller's trace ID so
+	// and put) — each recorded under the caller's trace ID so
 	// /debug/traces/{id}?fleet=1 can stitch the fleet-wide tree back
 	// together by parent span ID.
 	Recorder *telemetry.Recorder
@@ -193,16 +184,10 @@ type Cluster struct {
 	// peer and outcome (ok / error). Nil when Config.Metrics was nil.
 	forwardRTT *telemetry.HistogramVec
 
-	// claims is the owner-side lease/publish table behind /cluster/claim
-	// and the fleet cache tier's publish buffer.
-	claims claimTable
 	// localCache is the backend the cache handlers serve from — the
 	// replica's local tiers, set via SetLocalCache (never the fleet tier,
 	// which would recurse).
 	localCache atomic.Pointer[engine.CacheBackend]
-	// remoteTier records that a RemoteCache rides this cluster, letting a
-	// held claim's release skip the publish the tier already performs.
-	remoteTier atomic.Bool
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -234,7 +219,6 @@ func New(cfg Config) (*Cluster, error) {
 		peers: make(map[string]*peerState),
 		stop:  make(chan struct{}),
 	}
-	c.claims.init()
 	if cfg.Metrics != nil {
 		c.forwardRTT = cfg.Metrics.HistogramVec("kiter_cluster_forward_seconds",
 			"Round-trip time of one forwarded evaluation, in seconds.",

@@ -55,13 +55,6 @@ type Config struct {
 	// forwards non-local jobs to their ring owner). Nil keeps every job
 	// local. The engine does not own the Dispatcher; close it after Close.
 	Dispatcher Dispatcher
-	// Claims, when set, extends singleflight across processes: every
-	// leader job that reaches a worker claims its cache key through the
-	// Claimer first, and either serves the fleet's already-published
-	// result, evaluates under an exclusive leased claim, or — on any
-	// claim-layer failure — degrades to a plain local evaluation. The
-	// engine does not own the Claimer; close it after Close.
-	Claims Claimer
 	// Metrics, when set, receives the engine's latency histograms and
 	// solver-phase instruments (queue wait, per-method solve time, K-Iter
 	// rounds, Howard iterations, arcs built/reused). The engine registers
@@ -185,10 +178,6 @@ type job struct {
 	// enqueuedAt stamps the hand-off to the worker pool for the
 	// queue-wait histogram and trace span.
 	enqueuedAt time.Time
-	// published is the successful evaluation's result, recorded so a held
-	// cross-process claim can hand it to the owner on release (nil when
-	// the evaluation failed or was cancelled — an explicit lease release).
-	published *Result
 }
 
 // ErrClosed is returned by Submit after Close.
@@ -507,16 +496,6 @@ func (e *Engine) runJob(j *job) {
 		e.finishJob(j, nil, err)
 		return
 	}
-	// Cross-process singleflight: claim the key at its ring owner before
-	// burning a local evaluation on it. A served claim resolves the job
-	// without evaluating; a granted claim obliges us to publish the
-	// outcome through release; a failed claim degrades to a local solve.
-	if res, served, release := e.claimJob(ctx, j); served {
-		e.finishJob(j, res, nil)
-		return
-	} else if release != nil {
-		defer func() { release(j.published) }()
-	}
 	e.stats.evaluations.Add(1)
 	start := time.Now()
 	res, err := e.safeEval(ctx, j.req)
@@ -531,7 +510,6 @@ func (e *Engine) runJob(j *job) {
 		e.stats.latencyCount.Add(1)
 		e.met.evaluation.Observe(elapsed.Seconds())
 		res.ElapsedMS = float64(elapsed) / float64(time.Millisecond)
-		j.published = res
 		if !j.req.NoCache && e.cache != nil {
 			cachePut(ctx, e.cache, j.req.cacheKeyHint, res)
 		}

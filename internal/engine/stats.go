@@ -33,21 +33,19 @@ var raceMethods = [...]Method{MethodKIter, MethodPeriodic, MethodSymbolic}
 // counters holds the engine's hot-path telemetry. Everything is atomic:
 // the serving path never takes a lock to account.
 type counters struct {
-	submitted     atomic.Uint64
-	cacheHits     atomic.Uint64
-	aliasHits     atomic.Uint64
-	cacheMisses   atomic.Uint64
-	deduped       atomic.Uint64
-	evaluations   atomic.Uint64
-	remote        atomic.Uint64
-	claimsGranted atomic.Uint64
-	claimsServed  atomic.Uint64
-	errors        atomic.Uint64
-	cancelled     atomic.Uint64
-	rejected      atomic.Uint64
-	panics        atomic.Uint64
-	latencyNanos  atomic.Int64
-	latencyCount  atomic.Uint64
+	submitted    atomic.Uint64
+	cacheHits    atomic.Uint64
+	aliasHits    atomic.Uint64
+	cacheMisses  atomic.Uint64
+	deduped      atomic.Uint64
+	evaluations  atomic.Uint64
+	remote       atomic.Uint64
+	errors       atomic.Uint64
+	cancelled    atomic.Uint64
+	rejected     atomic.Uint64
+	panics       atomic.Uint64
+	latencyNanos atomic.Int64
+	latencyCount atomic.Uint64
 
 	winsKIter    atomic.Uint64
 	winsPeriodic atomic.Uint64
@@ -93,10 +91,10 @@ type Stats struct {
 	// the Dispatcher instead.
 	Evaluations   uint64 `json:"evaluations"`
 	RemoteResults uint64 `json:"remoteResults"`
-	// ClaimsGranted counts jobs this replica evaluated under an exclusive
-	// cross-process claim; ClaimsServed the jobs resolved by another
-	// process's published result during the claim handshake (those also
-	// count under RemoteResults, never under Evaluations).
+	// Deprecated: ClaimsGranted and ClaimsServed are always 0. Fleet dedup
+	// is forward-to-owner plus the owner's singleflight and memo cache;
+	// nothing sets these fields. They remain only so the performance lab,
+	// which still reads them, keeps compiling.
 	ClaimsGranted uint64 `json:"claimsGranted,omitempty"`
 	ClaimsServed  uint64 `json:"claimsServed,omitempty"`
 	// Errors counts failed evaluations, Cancelled abandoned ones and
@@ -179,8 +177,6 @@ func (s Stats) Delta(prev Stats) Stats {
 		AliasHits:      sub(s.AliasHits, prev.AliasHits),
 		Evaluations:    sub(s.Evaluations, prev.Evaluations),
 		RemoteResults:  sub(s.RemoteResults, prev.RemoteResults),
-		ClaimsGranted:  sub(s.ClaimsGranted, prev.ClaimsGranted),
-		ClaimsServed:   sub(s.ClaimsServed, prev.ClaimsServed),
 		Errors:         sub(s.Errors, prev.Errors),
 		Cancelled:      sub(s.Cancelled, prev.Cancelled),
 		Rejected:       sub(s.Rejected, prev.Rejected),
@@ -284,8 +280,6 @@ func (e *Engine) Stats() Stats {
 		AliasHits:      e.stats.aliasHits.Load(),
 		Evaluations:    e.stats.evaluations.Load(),
 		RemoteResults:  e.stats.remote.Load(),
-		ClaimsGranted:  e.stats.claimsGranted.Load(),
-		ClaimsServed:   e.stats.claimsServed.Load(),
 		Errors:         e.stats.errors.Load(),
 		Cancelled:      e.stats.cancelled.Load(),
 		Rejected:       e.stats.rejected.Load(),

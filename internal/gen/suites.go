@@ -20,8 +20,8 @@ type Suite struct {
 // standing in for the SDF3 "ActualDSP" category (5 graphs in the paper):
 // a sample-rate converter, a satellite-receiver-like pipeline, an
 // H.263-style decoder, a modem-like loop and an MP3-style playback chain.
-// Rates follow the stage ratios published for these applications; see
-// DESIGN.md for the substitution argument.
+// Rates follow the stage ratios published for these applications (the
+// README's "Benchmarks and substitutions" covers the stand-ins).
 func ActualDSP() Suite {
 	return Suite{
 		Name: "ActualDSP",

@@ -119,7 +119,7 @@ func TestStitch(t *testing.T) {
 		}},
 		// Orphan: its parent's record was never captured.
 		{TraceID: "t", Process: "d", StartUnixNano: 4, Root: &SpanNode{
-			Name: "cluster.claim", SpanID: "claim", ParentID: "missing",
+			Name: "cluster.cache.put", SpanID: "put", ParentID: "missing",
 		}},
 	}
 	roots, detached := Stitch(records)
@@ -145,7 +145,7 @@ func TestStitch(t *testing.T) {
 		t.Fatalf("grafted subtree lost its process stamp: %v", fwd.Children[0].Attrs)
 	}
 	orphan := roots[1]
-	if orphan.SpanID != "claim" || orphan.Attrs["detached"] != true {
+	if orphan.SpanID != "put" || orphan.Attrs["detached"] != true {
 		t.Fatalf("orphan not marked detached: %+v", orphan)
 	}
 }

@@ -192,8 +192,7 @@ func (s *Span) Record(name string, start time.Time, d time.Duration) *Span {
 }
 
 // SpanNode is the exported JSON form of a span tree, as returned by
-// POST /analyze?trace=1, GET /debug/traces/{id} and the -trace-log NDJSON
-// stream. TraceID is set on roots only; SpanID/ParentID appear on spans
+// POST /analyze?trace=1 and GET /debug/traces/{id}. TraceID is set on roots only; SpanID/ParentID appear on spans
 // that participate in cross-process propagation.
 type SpanNode struct {
 	Name          string         `json:"name"`
