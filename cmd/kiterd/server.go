@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -285,17 +284,6 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	_ = s.obs.reg.WritePrometheus(w)
 }
 
-// analyzeEnvelope is the optional request wrapper: a bare graph body (the
-// repository's JSON graph format) is accepted too and detected by the
-// absence of the "graph" key.
-type analyzeEnvelope struct {
-	Graph      json.RawMessage `json:"graph"`
-	Analyses   []string        `json:"analyses"`
-	Method     string          `json:"method"`
-	Capacities *bool           `json:"capacities"`
-	NoCache    bool            `json:"noCache"`
-}
-
 // analyzeResponse is the /analyze reply: the analysis result, and nothing
 // else by default — a full engine.Stats snapshot costs a per-request
 // allocation walk over every cluster/tier/race-category counter and bloats
@@ -320,27 +308,40 @@ func boolParam(q url.Values, name string) bool {
 }
 
 // decodeAnalyze turns an /analyze body into an engine request under the
-// server's template. Envelopes are told from bare graph bodies by probing
-// for the "graph" key, then decoded strictly so a typo'd knob ("metod",
-// "anlyses") fails loudly instead of silently running the defaults.
+// server's template, in one json.Unmarshal pass (see analyzeBody). A body
+// with a "graph" key is an envelope and is held strict, so a typo'd knob
+// ("metod", "anlyses") fails loudly instead of silently running the
+// defaults; any other body is a bare graph, whose extra keys are ignored.
 func (s *server) decodeAnalyze(body []byte) (*engine.Request, error) {
-	var probe struct {
-		Graph json.RawMessage `json:"graph"`
-	}
-	if err := json.Unmarshal(body, &probe); err != nil {
+	ab := analyzeBody{Graph: new(*sdf3x.JSONGraph)}
+	err := json.Unmarshal(body, &ab)
+	var syntax *json.SyntaxError
+	if errors.As(err, &syntax) {
 		return nil, fmt.Errorf("decoding request: %w", err)
 	}
+	jg := &ab.JSONGraph
 	var env analyzeEnvelope
-	graphJSON := json.RawMessage(body) // bare graph body
-	if probe.Graph != nil {
-		dec := json.NewDecoder(bytes.NewReader(body))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&env); err != nil {
-			return nil, fmt.Errorf("decoding request: %w", err)
+	if ab.Graph == nil || *ab.Graph != nil { // "graph" is present: an envelope
+		last, graphs, kerr := env.decodeKnobs(body)
+		if kerr != nil {
+			return nil, fmt.Errorf("decoding request: %w", kerr)
 		}
-		graphJSON = env.Graph
+		if ab.Graph != nil {
+			jg = *ab.Graph
+		} else {
+			jg = new(sdf3x.JSONGraph) // "graph": null reads as an empty graph
+		}
+		if graphs > 1 {
+			// encoding/json merged every "graph" value into one struct,
+			// but a repeated key's last value wins whole.
+			jg = new(sdf3x.JSONGraph)
+			err = json.Unmarshal(last, jg)
+		}
 	}
-	g, err := sdf3x.ReadJSON(bytes.NewReader(graphJSON))
+	if err != nil {
+		return nil, fmt.Errorf("decoding graph: sdf3x: decoding JSON: %w", err)
+	}
+	g, err := jg.Build()
 	if err != nil {
 		return nil, fmt.Errorf("decoding graph: %w", err)
 	}
@@ -511,8 +512,21 @@ func (s *server) middlewareRequestID(w http.ResponseWriter) string {
 // an over-cap client's connection is also marked for close: the server
 // stops reading the rest of the body and signals Connection: close instead
 // of leaving an undrained stream on a keep-alive connection.
+//
+// A body announced by Content-Length is read into one buffer of that size
+// (up to maxPresize, so a client cannot make the server reserve the whole
+// cap by announcing it and sending nothing); a body with no length, or one
+// longer than announced, grows from there as io.ReadAll would. A body
+// shorter than announced is a short read.
 func (s *server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.maxBody))
+	size := int64(512) // io.ReadAll's first buffer
+	if n := r.ContentLength; n > 0 && n <= s.maxBody {
+		size = min(n, maxPresize) + 1 // +1: the EOF read needs spare room
+	}
+	body, err := readAll(http.MaxBytesReader(w, r.Body, s.maxBody), size)
+	if err == nil && int64(len(body)) < r.ContentLength {
+		err = fmt.Errorf("%w: got %d of %d bytes", io.ErrUnexpectedEOF, len(body), r.ContentLength)
+	}
 	if err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
@@ -523,6 +537,27 @@ func (s *server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool)
 		return nil, false
 	}
 	return body, true
+}
+
+// maxPresize bounds the buffer readBody reserves on a client's word alone.
+const maxPresize = 4 << 20
+
+// readAll is io.ReadAll starting from a buffer of the given capacity.
+func readAll(r io.Reader, size int64) ([]byte, error) {
+	b := make([]byte, 0, size)
+	for {
+		n, err := r.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err != nil {
+			if err == io.EOF {
+				err = nil
+			}
+			return b, err
+		}
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+	}
 }
 
 // handleHealthz serves both probes. The plain GET /healthz is liveness —

@@ -197,6 +197,49 @@ func TestReadBodyMaxBytesError(t *testing.T) {
 	if !ok || len(body) != 64 {
 		t.Fatalf("at-cap body rejected: ok=%v len=%d (status %d)", ok, len(body), rec.Code)
 	}
+
+	// The Content-Length cases: readBody presizes from the header but must
+	// not trust it.
+	for _, c := range []struct {
+		name          string
+		contentLength int64 // -1: absent, as for a chunked body
+		body          int
+		wantCode      int // 0: read in full
+	}{
+		{"chunked", -1, 40, 0},
+		{"chunked over cap", -1, 65, http.StatusRequestEntityTooLarge},
+		{"overstated", 60, 40, http.StatusBadRequest},
+		{"understated", 10, 40, 0},
+		{"understated over cap", 10, 65, http.StatusRequestEntityTooLarge},
+	} {
+		rec := httptest.NewRecorder()
+		r := httptest.NewRequest(http.MethodPost, "/analyze", strings.NewReader(strings.Repeat("a", c.body)))
+		r.ContentLength = c.contentLength
+		body, ok := srv.readBody(rec, r)
+		switch {
+		case c.wantCode == 0 && (!ok || len(body) != c.body):
+			t.Errorf("%s: ok=%v len=%d (status %d), want all %d bytes", c.name, ok, len(body), rec.Code, c.body)
+		case c.wantCode != 0 && (ok || rec.Code != c.wantCode):
+			t.Errorf("%s: ok=%v status %d, want %d", c.name, ok, rec.Code, c.wantCode)
+		}
+	}
+
+	// An honest Content-Length is read into one buffer: besides the
+	// MaxBytesReader wrapper, that is the only allocation.
+	srv.maxBody = 1 << 20
+	payload := strings.Repeat("a", 40<<10)
+	allocs := testing.AllocsPerRun(20, func() {
+		r := httptest.NewRequest(http.MethodPost, "/analyze", strings.NewReader(payload))
+		if body, ok := srv.readBody(rec, r); !ok || len(body) != len(payload) {
+			t.Fatalf("honest body: ok=%v len=%d", ok, len(body))
+		}
+	})
+	base := testing.AllocsPerRun(20, func() {
+		httptest.NewRequest(http.MethodPost, "/analyze", strings.NewReader(payload))
+	})
+	if extra := allocs - base; extra > 2 {
+		t.Errorf("readBody of a 40 KB body with Content-Length: %.0f allocations, want ≤ 2", extra)
+	}
 }
 
 // TestAnalyzeEnvelopeUnknownFields: envelopes are decoded strictly (a

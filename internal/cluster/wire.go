@@ -52,7 +52,7 @@ func decodeRequest(body []byte) (*engine.Request, error) {
 	if err := dec.Decode(&wr); err != nil {
 		return nil, fmt.Errorf("cluster: decoding request: %w", err)
 	}
-	g, err := sdf3x.ReadJSON(bytes.NewReader(wr.Graph))
+	g, err := sdf3x.DecodeJSON(wr.Graph)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: decoding graph: %w", err)
 	}

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
+
+	"kiter/internal/rat"
 )
 
 // ErrInconsistent is returned when no repetition vector exists, i.e. the
@@ -14,48 +16,65 @@ var ErrInconsistent = errors.New("csdf: graph is not consistent (no repetition v
 // repetition vector does not fit in int64 components.
 var ErrRepetitionOverflow = errors.New("csdf: repetition vector exceeds int64")
 
-// RepetitionVectorBig computes the smallest positive integer repetition
-// vector q such that qt·ib = qt′·ob for every buffer b = (t, t′)
-// (Section 2.2). Each weakly-connected component is normalized
-// independently to its smallest integer solution. The computation is exact
-// (math/big), immune to the integer overflow the paper reports fixing in
-// SDF3's implementation.
-func (g *Graph) RepetitionVectorBig() ([]*big.Int, error) {
+// repetition computes the smallest positive integer repetition vector q
+// such that qt·ib = qt′·ob for every buffer b = (t, t′) (Section 2.2), as
+// integral rat.Rat values. Each weakly-connected component is normalized
+// independently to its smallest integer solution.
+//
+// The arithmetic is exact, immune to the integer overflow the paper
+// reports fixing in SDF3's implementation: rat.Rat holds reduced int64
+// fractions without allocating and promotes itself to math/big when a
+// value leaves that range, so the common graph pays no big-int cost and
+// the rare huge one still gets the exact answer.
+func (g *Graph) repetition() ([]rat.Rat, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
 	n := len(g.tasks)
-	// Fractional solution per component via BFS over the undirected
-	// buffer adjacency: fixing f(root)=1, each buffer b=(t,t′) forces
-	// f(t′) = f(t)·ib/ob.
-	frac := make([]*big.Rat, n)
-	adj := make([][]int, n) // buffer indices incident to each task
+	// Undirected buffer adjacency in CSR form: the buffers incident to
+	// task t, in index order, are inc[start[t]:start[t+1]].
+	start := make([]int32, n+1)
 	for i := range g.buffers {
 		b := &g.buffers[i]
-		adj[b.Src] = append(adj[b.Src], i)
+		start[b.Src+1]++
 		if b.Dst != b.Src {
-			adj[b.Dst] = append(adj[b.Dst], i)
+			start[b.Dst+1]++
 		}
 	}
-	comp := make([]int, n)
-	for i := range comp {
-		comp[i] = -1
+	for t := 0; t < n; t++ {
+		start[t+1] += start[t]
 	}
-	var compRoots []TaskID
-	queue := make([]TaskID, 0, n)
+	inc := make([]int32, start[n])
+	next := make([]int32, n)
+	copy(next, start[:n])
+	for i := range g.buffers {
+		b := &g.buffers[i]
+		inc[next[b.Src]] = int32(i)
+		next[b.Src]++
+		if b.Dst != b.Src {
+			inc[next[b.Dst]] = int32(i)
+			next[b.Dst]++
+		}
+	}
+
+	// Fractional solution per component via BFS over the adjacency: fixing
+	// f(root)=1, each buffer b=(t,t′) forces f(t′) = f(t)·ib/ob. Every
+	// fraction is positive, so zero marks an unvisited task. The BFS order
+	// lists each component as one contiguous run, whose bounds compStart
+	// records.
+	frac := make([]rat.Rat, n)
+	order := next[:0] // reuses next's storage: the fill cursors are spent
+	var compStart []int
 	for root := 0; root < n; root++ {
-		if comp[root] >= 0 {
+		if !frac[root].IsZero() {
 			continue
 		}
-		c := len(compRoots)
-		compRoots = append(compRoots, TaskID(root))
-		comp[root] = c
-		frac[root] = big.NewRat(1, 1)
-		queue = append(queue[:0], TaskID(root))
-		for len(queue) > 0 {
-			u := queue[0]
-			queue = queue[1:]
-			for _, bi := range adj[u] {
+		compStart = append(compStart, len(order))
+		frac[root] = rat.FromInt(1)
+		order = append(order, int32(root))
+		for head := compStart[len(compStart)-1]; head < len(order); head++ {
+			u := TaskID(order[head])
+			for _, bi := range inc[start[u]:start[u+1]] {
 				b := &g.buffers[bi]
 				ib, ob := b.TotalIn(), b.TotalOut()
 				// Self-loop: requires ib == ob, no propagation.
@@ -65,21 +84,18 @@ func (g *Graph) RepetitionVectorBig() ([]*big.Int, error) {
 					}
 					continue
 				}
-				var from, to TaskID
-				var ratio *big.Rat
+				var want rat.Rat
+				to := b.Dst
 				if b.Src == u {
-					from, to = b.Src, b.Dst
-					ratio = big.NewRat(ib, ob) // f(dst) = f(src)·ib/ob
+					want = frac[u].Mul(rat.NewRat(ib, ob)) // f(dst) = f(src)·ib/ob
 				} else {
-					from, to = b.Dst, b.Src
-					ratio = big.NewRat(ob, ib)
+					to = b.Src
+					want = frac[u].Mul(rat.NewRat(ob, ib))
 				}
-				want := new(big.Rat).Mul(frac[from], ratio)
-				if frac[to] == nil {
+				if frac[to].IsZero() {
 					frac[to] = want
-					comp[to] = c
-					queue = append(queue, to)
-				} else if frac[to].Cmp(want) != 0 {
+					order = append(order, int32(to))
+				} else if !frac[to].Equal(want) {
 					return nil, fmt.Errorf("%w: cycle through buffer %d imbalanced", ErrInconsistent, bi)
 				}
 			}
@@ -89,41 +105,41 @@ func (g *Graph) RepetitionVectorBig() ([]*big.Int, error) {
 	// parallel buffers deserve an explicit pass).
 	for i := range g.buffers {
 		b := &g.buffers[i]
-		lhs := new(big.Rat).Mul(frac[b.Src], big.NewRat(b.TotalIn(), 1))
-		rhs := new(big.Rat).Mul(frac[b.Dst], big.NewRat(b.TotalOut(), 1))
-		if lhs.Cmp(rhs) != 0 {
+		lhs := frac[b.Src].Mul(rat.FromInt(b.TotalIn()))
+		rhs := frac[b.Dst].Mul(rat.FromInt(b.TotalOut()))
+		if !lhs.Equal(rhs) {
 			return nil, fmt.Errorf("%w: buffer %d imbalanced", ErrInconsistent, i)
 		}
 	}
-	// Scale each component to the smallest positive integer vector:
-	// multiply by lcm of denominators, then divide by gcd of numerators.
-	q := make([]*big.Int, n)
-	for c := range compRoots {
-		lcmDen := big.NewInt(1)
-		for t := 0; t < n; t++ {
-			if comp[t] != c {
-				continue
-			}
-			d := frac[t].Denom()
-			gcd := new(big.Int).GCD(nil, nil, lcmDen, d)
-			lcmDen.Div(lcmDen, gcd).Mul(lcmDen, d)
+	// Scale each component to its smallest positive integer vector:
+	// divide by the rational gcd of its fractions, gcd(numerators) over
+	// lcm(denominators).
+	compStart = append(compStart, n)
+	for c := 0; c+1 < len(compStart); c++ {
+		run := order[compStart[c]:compStart[c+1]]
+		var scale rat.Rat
+		for _, t := range run {
+			scale = rat.GcdRat(scale, frac[t])
 		}
-		gcdNum := new(big.Int)
-		for t := 0; t < n; t++ {
-			if comp[t] != c {
-				continue
-			}
-			v := new(big.Rat).Mul(frac[t], new(big.Rat).SetInt(lcmDen))
-			q[t] = new(big.Int).Set(v.Num()) // v is integral now
-			gcdNum.GCD(nil, nil, gcdNum, q[t])
+		for _, t := range run {
+			frac[t] = frac[t].Div(scale)
 		}
-		if gcdNum.Sign() > 0 && gcdNum.Cmp(big.NewInt(1)) != 0 {
-			for t := 0; t < n; t++ {
-				if comp[t] == c {
-					q[t].Div(q[t], gcdNum)
-				}
-			}
-		}
+	}
+	return frac, nil
+}
+
+// RepetitionVectorBig computes the smallest positive integer repetition
+// vector q such that qt·ib = qt′·ob for every buffer b = (t, t′)
+// (Section 2.2), with each weakly-connected component normalized
+// independently. The components are exact whatever their size.
+func (g *Graph) RepetitionVectorBig() ([]*big.Int, error) {
+	qr, err := g.repetition()
+	if err != nil {
+		return nil, err
+	}
+	q := make([]*big.Int, len(qr))
+	for i, v := range qr {
+		q[i] = v.Num() // v is integral
 	}
 	return q, nil
 }
@@ -133,23 +149,23 @@ func (g *Graph) RepetitionVectorBig() ([]*big.Int, error) {
 // fit. Most callers should use this; RepetitionVectorBig is the exact
 // fallback.
 func (g *Graph) RepetitionVector() ([]int64, error) {
-	qb, err := g.RepetitionVectorBig()
+	qr, err := g.repetition()
 	if err != nil {
 		return nil, err
 	}
-	q := make([]int64, len(qb))
-	for i, v := range qb {
-		if !v.IsInt64() {
+	q := make([]int64, len(qr))
+	for i, v := range qr {
+		var ok bool
+		if q[i], ok = v.Int64(); !ok {
 			return nil, ErrRepetitionOverflow
 		}
-		q[i] = v.Int64()
 	}
 	return q, nil
 }
 
 // Consistent reports whether the graph admits a repetition vector.
 func (g *Graph) Consistent() bool {
-	_, err := g.RepetitionVectorBig()
+	_, err := g.repetition()
 	return err == nil
 }
 

@@ -20,16 +20,18 @@ type evaluation struct {
 	deadlock []PhaseRef
 }
 
-// solveK builds the bi-valued graph for (g, q, K) and solves the MCRP. The
-// context is polled during constraint generation (the dominating cost), so
-// a cancelled ctx aborts mid-expansion rather than after it.
-func solveK(ctx context.Context, g *csdf.Graph, q, K []int64, opt Options) (*evaluation, error) {
-	b, err := newBuilder(g, q, K, opt)
+// solveK builds the bi-valued graph for (g, q, K) in the arena and solves
+// the MCRP with the arena's solver. The context is polled during
+// constraint generation (the dominating cost), so a cancelled ctx aborts
+// mid-expansion rather than after it. The evaluation reads the arena until
+// the caller releases it.
+func solveK(ctx context.Context, g *csdf.Graph, q, K []int64, opt Options, a *arena) (*evaluation, error) {
+	b, err := newBuilderIn(g, q, K, opt, a.mg)
 	if err != nil {
 		return nil, err
 	}
 	b.ctx = ctx
-	return resolve(ctx, b, mcr.NewSolver(), opt)
+	return resolve(ctx, b, a.solver, opt)
 }
 
 // resolve brings the builder's constraint graph up to date and solves the
@@ -104,11 +106,18 @@ func EvaluateK(g *csdf.Graph, K []int64, opt Options) (*Evaluation, error) {
 // evaluation aborts (also inside the pair-enumeration inner loop) and the
 // context's error is returned.
 func EvaluateKCtx(ctx context.Context, g *csdf.Graph, K []int64, opt Options) (*Evaluation, error) {
+	a := getArena()
+	defer a.release()
+	return evaluateK(ctx, g, K, opt, a)
+}
+
+// evaluateK is EvaluateKCtx on the given arena.
+func evaluateK(ctx context.Context, g *csdf.Graph, K []int64, opt Options, a *arena) (*Evaluation, error) {
 	q, err := g.RepetitionVector()
 	if err != nil {
 		return nil, err
 	}
-	ev, err := solveK(ctx, g, q, K, opt)
+	ev, err := solveK(ctx, g, q, K, opt, a)
 	if err != nil {
 		return nil, err
 	}

@@ -75,7 +75,14 @@ type blockArc struct {
 	hf       float64
 }
 
+// newBuilder prepares the bi-valued graph of (g, q, K) in a graph of its
+// own.
 func newBuilder(g *csdf.Graph, q, K []int64, opt Options) (*builder, error) {
+	return newBuilderIn(g, q, K, opt, mcr.New(0))
+}
+
+// newBuilderIn is newBuilder assembling into mg, a pooled arena's graph.
+func newBuilderIn(g *csdf.Graph, q, K []int64, opt Options, mg *mcr.Graph) (*builder, error) {
 	if err := checkK(g, K); err != nil {
 		return nil, err
 	}
@@ -86,7 +93,7 @@ func newBuilder(g *csdf.Graph, q, K []int64, opt Options) (*builder, error) {
 		seq:       !opt.AutoConcurrency,
 		opt:       opt,
 		offset:    make([]int, g.NumTasks()+1),
-		mg:        mcr.New(0),
+		mg:        mg,
 		bufBlocks: make([]arcBlock, g.NumBuffers()),
 	}
 	if b.seq {

@@ -72,6 +72,13 @@ func KIter(g *csdf.Graph, opt Options) (*KIterResult, error) {
 // the partial result (the trace of completed rounds) is returned together
 // with the context's error.
 func KIterCtx(ctx context.Context, g *csdf.Graph, opt Options) (*KIterResult, error) {
+	a := getArena()
+	defer a.release()
+	return kiter(ctx, g, opt, a)
+}
+
+// kiter is KIterCtx on the given arena.
+func kiter(ctx context.Context, g *csdf.Graph, opt Options, a *arena) (*KIterResult, error) {
 	q, err := g.RepetitionVector()
 	if err != nil {
 		return nil, err
@@ -87,17 +94,18 @@ func KIterCtx(ctx context.Context, g *csdf.Graph, opt Options) (*KIterResult, er
 	inner := opt
 	inner.SkipCertify = true
 
-	// One builder and one MCRP solver serve every round: arc blocks whose
+	// One builder and one pooled arena serve every round: arc blocks whose
 	// endpoint K survived the latest updateK are replayed instead of
-	// re-enumerated, and the solver's O(n) working arrays are recycled.
+	// re-enumerated, and the arc arena and the solver's working arrays are
+	// recycled, across rounds and across solves.
 	result := &KIterResult{}
-	b, err := newBuilder(g, q, K, inner)
+	b, err := newBuilderIn(g, q, K, inner, a.mg)
 	if err != nil {
 		result.Iterations = 1
 		return result, err
 	}
 	b.ctx = ctx
-	solver := mcr.NewSolver()
+	solver := a.solver
 	span := telemetry.FromContext(ctx)
 	defer func() {
 		span.AddInt("iterations", int64(result.Iterations))

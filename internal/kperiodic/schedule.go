@@ -51,7 +51,9 @@ func ScheduleKCtx(ctx context.Context, g *csdf.Graph, K []int64, opt Options) (*
 		return nil, err
 	}
 	opt.SkipCertify = false // exact potentials need the exact period
-	ev, err := solveK(ctx, g, q, K, opt)
+	a := getArena()
+	defer a.release()
+	ev, err := solveK(ctx, g, q, K, opt, a)
 	if err != nil {
 		return nil, err
 	}

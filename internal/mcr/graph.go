@@ -139,6 +139,9 @@ func (g *Graph) ensureCSR() {
 	g.csrOK = true
 }
 
+// ArcCap returns how many arcs the arena holds without growing.
+func (g *Graph) ArcCap() int { return cap(g.arcs) }
+
 // NumNodes returns the node count.
 func (g *Graph) NumNodes() int { return g.n }
 

@@ -449,6 +449,41 @@ func (x Rat) Int64() (int64, bool) {
 // Equal reports whether x and y are the same rational.
 func (x Rat) Equal(y Rat) bool { return x.Cmp(y) == 0 }
 
+// GcdRat returns the greatest rational g ≥ 0 such that x/g and y/g are
+// both integers: gcd(a/b, c/d) = gcd(a, c)/lcm(b, d) for reduced fractions.
+// GcdRat(0, y) is |y|. Dividing a set of rationals by their folded GcdRat
+// yields the smallest integer vector proportional to them. In the small
+// form it allocates nothing.
+func GcdRat(x, y Rat) Rat {
+	if x.Sign() < 0 {
+		x = x.Neg()
+	}
+	if y.Sign() < 0 {
+		y = y.Neg()
+	}
+	if x.IsZero() {
+		return y
+	}
+	if y.IsZero() {
+		return x
+	}
+	if x.r == nil && y.r == nil {
+		// gcd(a, c) is coprime to b and d, hence to lcm(b, d): the result
+		// is already reduced.
+		if n := Gcd(x.num, y.num); n > 0 {
+			if d, ok := Lcm(x.den, y.den); ok {
+				return Rat{num: n, den: d}
+			}
+		}
+	}
+	xb, yb := x.asBig(), y.asBig()
+	num := new(big.Int).GCD(nil, nil, xb.Num(), yb.Num())
+	g := new(big.Int).GCD(nil, nil, xb.Denom(), yb.Denom())
+	den := new(big.Int).Div(xb.Denom(), g)
+	den.Mul(den, yb.Denom())
+	return normBig(new(big.Rat).SetFrac(num, den))
+}
+
 // SumInt64 adds a slice of int64 and reports overflow.
 func SumInt64(vs []int64) (int64, bool) {
 	var s int64

@@ -275,3 +275,41 @@ func TestErrOverflow(t *testing.T) {
 		t.Error("empty error message")
 	}
 }
+
+func TestGcdRat(t *testing.T) {
+	for _, c := range []struct{ x, y, want Rat }{
+		{NewRat(1, 2), NewRat(1, 3), NewRat(1, 6)},
+		{NewRat(4, 3), NewRat(6, 5), NewRat(2, 15)},
+		{FromInt(12), FromInt(18), FromInt(6)},
+		{Rat{}, NewRat(-3, 4), NewRat(3, 4)},
+		{NewRat(-5, 2), Rat{}, NewRat(5, 2)},
+		{Rat{}, Rat{}, Rat{}},
+	} {
+		if got := GcdRat(c.x, c.y); !got.Equal(c.want) {
+			t.Errorf("GcdRat(%s, %s) = %s, want %s", c.x, c.y, got, c.want)
+		}
+	}
+	// Denominators whose lcm leaves int64 promote to the big form, and
+	// big operands give the same answer as their small equivalents.
+	p, q := NewRat(1, 1<<40), NewRat(1, 999999999989)
+	want := new(big.Rat).SetFrac(big.NewInt(1), new(big.Int).Mul(big.NewInt(1<<40), big.NewInt(999999999989)))
+	if got := GcdRat(p, q); got.asBig().Cmp(want) != 0 {
+		t.Errorf("GcdRat(%s, %s) = %s, want %s", p, q, got, want.RatString())
+	}
+	huge := FromBigInts(new(big.Int).Lsh(big.NewInt(3), 70), big.NewInt(1))
+	if got := GcdRat(huge, FromInt(6)); !got.Equal(FromInt(6)) {
+		t.Errorf("GcdRat(3·2^70, 6) = %s, want 6", got)
+	}
+	// x/GcdRat(x, y) and y/GcdRat(x, y) are coprime integers.
+	coprime := func(an int16, ad uint8, bn int16, bd uint8) bool {
+		a := NewRat(int64(an)|1, int64(ad)%20+1)
+		b := NewRat(int64(bn)|1, int64(bd)%20+1)
+		g := GcdRat(a, b)
+		x, ok1 := a.Div(g).Int64()
+		y, ok2 := b.Div(g).Int64()
+		return ok1 && ok2 && Gcd(x, y) == 1
+	}
+	if err := quick.Check(coprime, nil); err != nil {
+		t.Error(err)
+	}
+}

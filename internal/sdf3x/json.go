@@ -15,19 +15,24 @@ import (
 	"kiter/internal/csdf"
 )
 
-// jsonGraph is the on-disk JSON shape.
-type jsonGraph struct {
+// JSONGraph is the on-disk JSON shape. Callers that embed a graph in a
+// larger JSON document (kiterd's /analyze envelope, a sweep's base) decode
+// it straight into a JSONGraph and call Build, so the bytes are scanned by
+// one decoder only.
+type JSONGraph struct {
 	Name    string       `json:"name"`
-	Tasks   []jsonTask   `json:"tasks"`
-	Buffers []jsonBuffer `json:"buffers"`
+	Tasks   []JSONTask   `json:"tasks"`
+	Buffers []JSONBuffer `json:"buffers"`
 }
 
-type jsonTask struct {
+// JSONTask is one task of a JSONGraph.
+type JSONTask struct {
 	Name      string  `json:"name"`
 	Durations []int64 `json:"durations"`
 }
 
-type jsonBuffer struct {
+// JSONBuffer is one buffer of a JSONGraph; Src and Dst are task names.
+type JSONBuffer struct {
 	Name     string  `json:"name,omitempty"`
 	Src      string  `json:"src"`
 	Dst      string  `json:"dst"`
@@ -42,12 +47,12 @@ type jsonBuffer struct {
 // are emitted as "tN" (N the task ID), suffixed when that is taken too.
 func WriteJSON(w io.Writer, g *csdf.Graph) error {
 	names := taskNames(g)
-	jg := jsonGraph{Name: g.Name}
+	jg := JSONGraph{Name: g.Name}
 	for _, t := range g.Tasks() {
-		jg.Tasks = append(jg.Tasks, jsonTask{Name: names[t.ID], Durations: t.Durations})
+		jg.Tasks = append(jg.Tasks, JSONTask{Name: names[t.ID], Durations: t.Durations})
 	}
 	for _, b := range g.Buffers() {
-		jg.Buffers = append(jg.Buffers, jsonBuffer{
+		jg.Buffers = append(jg.Buffers, JSONBuffer{
 			Name: b.Name, Src: names[b.Src], Dst: names[b.Dst],
 			In: b.In, Out: b.Out, Initial: b.Initial, Capacity: b.Capacity,
 		})
@@ -57,14 +62,33 @@ func WriteJSON(w io.Writer, g *csdf.Graph) error {
 	return enc.Encode(jg)
 }
 
-// ReadJSON unmarshals a graph and validates it.
+// ReadJSON decodes the first JSON value of r as a graph and validates it.
 func ReadJSON(r io.Reader) (*csdf.Graph, error) {
-	var jg jsonGraph
+	var jg JSONGraph
 	if err := json.NewDecoder(r).Decode(&jg); err != nil {
 		return nil, fmt.Errorf("sdf3x: decoding JSON: %w", err)
 	}
+	return jg.Build()
+}
+
+// DecodeJSON is ReadJSON for a graph already held in memory as exactly one
+// JSON value (trailing data is an error), decoded without a Decoder's
+// buffered copy.
+func DecodeJSON(data []byte) (*csdf.Graph, error) {
+	var jg JSONGraph
+	if err := json.Unmarshal(data, &jg); err != nil {
+		return nil, fmt.Errorf("sdf3x: decoding JSON: %w", err)
+	}
+	return jg.Build()
+}
+
+// Build turns the decoded shape into a validated graph: task names must be
+// unique, buffer endpoints must name tasks, and the result must pass
+// csdf.Validate. Every JSON entry point (ReadJSON, DecodeJSON, kiterd's
+// /analyze envelope) builds through here.
+func (jg *JSONGraph) Build() (*csdf.Graph, error) {
 	g := csdf.NewGraph(jg.Name)
-	ids := map[string]csdf.TaskID{}
+	ids := make(map[string]csdf.TaskID, len(jg.Tasks))
 	for _, t := range jg.Tasks {
 		if _, dup := ids[t.Name]; dup {
 			return nil, fmt.Errorf("sdf3x: duplicate task name %q", t.Name)

@@ -279,7 +279,9 @@ func (s *Spec) parseBase() (*csdf.Graph, error) {
 	if len(s.Base) == 0 {
 		return nil, &SpecError{msg: "spec has no base graph"}
 	}
-	g, err := sdf3x.ReadJSON(bytes.NewReader(s.Base))
+	// Base is one JSON value already checked by the spec decode; unmarshal
+	// it in place rather than through a second Decoder's buffered copy.
+	g, err := sdf3x.DecodeJSON(s.Base)
 	if err != nil {
 		return nil, specErrf("base graph: %v", err)
 	}
