@@ -19,13 +19,21 @@ type PerfCase struct {
 }
 
 // PerfCases returns the tracked suite: the paper's running example and an
-// industrial-shaped decoder as single-digit-round sanity cases, plus the
-// KIterChain family whose interleaved critical circuits force one
+// industrial-shaped decoder as single-digit-round sanity cases, a cold
+// LgTransient variant whose long policy circuit with large durations once
+// kept Howard re-evaluating an unchanged policy for 10 000 rounds, plus
+// the KIterChain family whose interleaved critical circuits force one
 // periodicity bump per round.
 func PerfCases() []PerfCase {
 	return []PerfCase{
 		{Name: "figure2", Build: gen.Figure2},
 		{Name: "h263decoder", Build: gen.H263Decoder},
+		// LgTransient graph 3 with every duration ×1000 and the first
+		// phases of tasks 0 and 1 moved to 4005 and 5007: a single K-Iter
+		// round on a 202-task HSDF ring with two chords.
+		{Name: "lgtransient3-cold", Build: func() *csdf.Graph {
+			return gen.ColdVariant(gen.LgTransient(4, 0).Graphs[3], 1000, 5, 7)
+		}},
 		{Name: "chain4", MultiRound: true, Build: func() *csdf.Graph { return gen.KIterChain(4) }},
 		{Name: "chain8", MultiRound: true, Build: func() *csdf.Graph { return gen.KIterChain(8) }},
 		{Name: "chain16", MultiRound: true, Build: func() *csdf.Graph { return gen.KIterChain(16) }},

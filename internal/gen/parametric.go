@@ -26,3 +26,23 @@ func VideoPipeline() *csdf.Graph {
 	g.AddBuffer("rate-ctl", ec, camera, []int64{1}, []int64{1}, 2)
 	return g
 }
+
+// ColdVariant returns a copy of g with every phase duration multiplied by
+// scale, then delta0 added to the first phase of task 0 and delta1 to the
+// first phase of task 1 (when g has one). A stream of such variants is
+// what a design-space exploration sends a throughput service: every one
+// is a cache miss, and large durations stress the float fast path of the
+// MCRP solver.
+func ColdVariant(g *csdf.Graph, scale, delta0, delta1 int64) *csdf.Graph {
+	c := g.Clone()
+	for _, t := range c.Tasks() {
+		for p := range t.Durations {
+			t.Durations[p] *= scale
+		}
+	}
+	c.Task(0).Durations[0] += delta0
+	if c.NumTasks() > 1 {
+		c.Task(1).Durations[0] += delta1
+	}
+	return c
+}

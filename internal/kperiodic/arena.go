@@ -7,15 +7,16 @@ import (
 )
 
 // arena is the reusable scratch of one solve: the bi-valued graph's arc
-// arena and the MCRP solver's working arrays. KIterCtx, EvaluateKCtx and
-// ScheduleKCtx borrow one per call instead of growing both from empty, and
-// return it once nothing they hand back can reach it: every result copies
-// what it keeps (K, lcm(K), the critical circuit as PhaseRefs), and
-// rat.Rat values are immutable, so a pooled arena never aliases a
-// returned value.
+// arena, the MCRP solver's working arrays and K-Iter's policy carry-over.
+// KIterCtx, EvaluateKCtx and ScheduleKCtx borrow one per call instead of
+// growing them from empty, and return it once nothing they hand back can
+// reach it: every result copies what it keeps (K, lcm(K), the critical
+// circuit as PhaseRefs), and rat.Rat values are immutable, so a pooled
+// arena never aliases a returned value.
 type arena struct {
 	mg     *mcr.Graph
 	solver *mcr.Solver
+	warm   warmStart
 }
 
 var arenaPool = sync.Pool{

@@ -37,8 +37,8 @@ func solveK(ctx context.Context, g *csdf.Graph, q, K []int64, opt Options, a *ar
 // resolve brings the builder's constraint graph up to date and solves the
 // MCRP with the given (reusable) solver. K-Iter calls it once per round
 // with the same builder and solver, which is what makes repeated rounds
-// cheap: unchanged arc blocks are replayed and the solver's scratch is
-// recycled.
+// cheap: unchanged arc blocks are replayed, the solver's scratch is
+// recycled and Howard starts from the policy b.warm kept.
 func resolve(ctx context.Context, b *builder, s *mcr.Solver, opt Options) (*evaluation, error) {
 	if err := b.build(); err != nil {
 		return nil, err
@@ -46,7 +46,7 @@ func resolve(ctx context.Context, b *builder, s *mcr.Solver, opt Options) (*eval
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	res, err := s.SolveCtx(ctx, b.mg, mcr.Options{SkipCertify: opt.SkipCertify})
+	res, err := s.SolveWarmCtx(ctx, b.mg, mcr.Options{SkipCertify: opt.SkipCertify}, b.warm.mapped(b))
 	if err != nil {
 		var de *mcr.DeadlockError
 		if errors.As(err, &de) {

@@ -47,6 +47,7 @@ type builder struct {
 	cumI      []int64    // pair-enumeration scratch
 	cumO      []int64
 	stats     buildStats
+	warm      *warmStart // K-Iter's policy carry-over; nil = cold solves
 }
 
 // buildStats counts the incremental work of the latest build call.
@@ -332,7 +333,10 @@ func (b *builder) computeBufferBlock(blk *arcBlock, buf *csdf.Buffer) error {
 	}
 
 	blk.kSrc, blk.kDst = 0, 0 // invalid until fully recomputed
-	blk.arcs = blk.arcs[:0]
+	// A buffer's useful pairs have numbered at most nS+nD on every suite
+	// graph, so that many arcs (capped at all nS·nD pairs) presizes the
+	// block; append still grows it past the estimate.
+	blk.arcs = presize(blk.arcs, min(nS+nD, nS*nD))
 	for p := 1; p <= nS; p++ {
 		// One cancellation poll per source phase row: each row costs
 		// O(nD) arc insertions, so the poll is amortized while still
@@ -388,7 +392,7 @@ func (b *builder) computeBufferBlock(blk *arcBlock, buf *csdf.Buffer) error {
 func (b *builder) computeSequentialBlock(blk *arcBlock, t csdf.TaskID) {
 	phi := b.g.Task(t).Phases()
 	n := int(b.K[t]) * phi
-	blk.arcs = blk.arcs[:0]
+	blk.arcs = presize(blk.arcs, n)
 	for p := 1; p < n; p++ {
 		blk.arcs = append(blk.arcs, blockArc{
 			from: int32(p - 1),
@@ -406,4 +410,12 @@ func (b *builder) computeSequentialBlock(blk *arcBlock, t csdf.TaskID) {
 		hf:   h.Float(),
 	})
 	blk.kSrc, blk.kDst = b.K[t], b.K[t]
+}
+
+// presize empties arcs and makes room for n arcs without regrowing.
+func presize(arcs []blockArc, n int) []blockArc {
+	if cap(arcs) < n {
+		return make([]blockArc, 0, n)
+	}
+	return arcs[:0]
 }

@@ -105,6 +105,8 @@ func kiter(ctx context.Context, g *csdf.Graph, opt Options, a *arena) (*KIterRes
 		return result, err
 	}
 	b.ctx = ctx
+	a.warm.reset()
+	b.warm = &a.warm
 	solver := a.solver
 	span := telemetry.FromContext(ctx)
 	defer func() {
@@ -138,6 +140,7 @@ func kiter(ctx context.Context, g *csdf.Graph, opt Options, a *arena) (*KIterRes
 		if err != nil {
 			return result, err
 		}
+		b.warm.keep(b, solver)
 		if ev.deadlock != nil {
 			tasks := uniqueTasks(ev.deadlock)
 			result.Trace = append(result.Trace, IterStep{

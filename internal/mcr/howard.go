@@ -20,7 +20,10 @@ type Options struct {
 	MaxHowardRounds int
 }
 
-const defaultHowardRounds = 10000
+// DefaultHowardRounds is the policy-round cap Solve applies when
+// Options.MaxHowardRounds is 0. Howard normally stops at its policy
+// fixpoint within a few dozen rounds.
+const DefaultHowardRounds = 10000
 
 // relEps is the relative tolerance for float64 comparisons in the Howard
 // fast path. Exactness is restored by certification.
@@ -33,11 +36,11 @@ func gtEps(a, b float64) bool {
 }
 
 // Solver runs MCRP resolutions while holding every O(n)/O(m) working array
-// for reuse: the cyclic-core trim state, the Howard policy and value
-// vectors, the policy-circuit traversal stacks, and the exact
-// certification weights. A Solver kept across the rounds of one K-Iter
-// run makes each round's resolution allocation-free apart from the
-// returned Result. The zero value is ready to use; a Solver must not be
+// for reuse: the cyclic-core trim state, the compact arc stream, the
+// Howard policy and value vectors, the policy-circuit traversal stacks,
+// and the exact certification weights. A Solver kept across the rounds of
+// one K-Iter run makes each round's resolution allocation-free apart from
+// the returned Result. The zero value is ready to use; a Solver must not be
 // shared between goroutines.
 type Solver struct {
 	// cyclic-core trim
@@ -46,7 +49,15 @@ type Solver struct {
 	work    []int32
 	inStart []int32
 	inArcs  []int32
-	// Howard policy iteration
+	// Compact arc stream: the arcs of the cyclic core in out-adjacency
+	// order, laid out as parallel arrays. The core arcs leaving v are
+	// positions arcStart[v] … arcStart[v+1]−1; Howard reads nothing else.
+	arcStart []int32
+	arcHead  []int32
+	arcL     []float64 // float64(L)
+	arcHF    []float64
+	arcOrig  []int32 // index of the arc in the Graph
+	// Howard policy iteration; pol holds arc-stream positions
 	pol    []int32
 	lambda []float64
 	val    []float64
@@ -90,9 +101,22 @@ func (s *Solver) Solve(g *Graph, opt Options) (Result, error) {
 // detail a flame graph needs to tell "many cheap policy rounds" from "few
 // expensive ones".
 func (s *Solver) SolveCtx(ctx context.Context, g *Graph, opt Options) (Result, error) {
+	return s.SolveWarmCtx(ctx, g, opt, nil)
+}
+
+// SolveWarmCtx is SolveCtx with a warm start: Howard's initial policy
+// sends every node v to its first cyclic-core arc whose head is heads[v],
+// and falls back to v's first core arc when heads[v] is −1, out of range
+// or not such a head. Howard converges from any initial policy and the
+// exact certification decides the final answer, so heads only changes how
+// many policy rounds the resolution takes and, among critical circuits of
+// exactly equal ratio, which one the result reports. K-Iter feeds each
+// round the previous round's final policy, see PolicyHeads.
+func (s *Solver) SolveWarmCtx(ctx context.Context, g *Graph, opt Options, heads []int32) (Result, error) {
 	if !s.trim(g) {
 		return Result{}, ErrNoCycle
 	}
+	s.compact(g, heads)
 	res, err := s.howard(ctx, g, opt)
 	if err != nil {
 		return Result{}, err
@@ -189,29 +213,80 @@ func (s *Solver) buildIn(g *Graph) {
 	s.inStart[0] = 0
 }
 
-// howard runs max-ratio policy iteration on the alive subgraph and returns
-// an uncertified candidate result.
-func (s *Solver) howard(ctx context.Context, g *Graph, opt Options) (Result, error) {
-	maxRounds := opt.MaxHowardRounds
-	if maxRounds <= 0 {
-		maxRounds = defaultHowardRounds
-	}
+// compact copies the arcs of the cyclic core, in out-adjacency order,
+// into the solver's arc stream and sets Howard's initial policy: for every
+// alive node its first stream arc into heads[v] when there is one (see
+// SolveWarmCtx), otherwise its first stream arc. Dead nodes get policy −1.
+func (s *Solver) compact(g *Graph, heads []int32) {
 	n := g.n
+	m := len(g.arcs)
+	s.arcStart = growInt32(s.arcStart, n+1)
+	s.arcHead = growInt32(s.arcHead, m)
+	s.arcL = growFloat64(s.arcL, m)
+	s.arcHF = growFloat64(s.arcHF, m)
+	s.arcOrig = growInt32(s.arcOrig, m)
 	s.pol = growInt32(s.pol, n)
-	s.lambda = growFloat64(s.lambda, n)
-	s.val = growFloat64(s.val, n)
+	k := int32(0)
 	for v := 0; v < n; v++ {
+		s.arcStart[v] = k
 		s.pol[v] = -1
 		if !s.alive[v] {
 			continue
 		}
-		for _, ai := range g.Out(v) {
-			if s.alive[g.arcs[ai].To] {
-				s.pol[v] = ai
-				break
+		want := int32(-1)
+		if v < len(heads) {
+			want = heads[v]
+		}
+		for _, ai := range g.outArcs[g.outStart[v]:g.outStart[v+1]] {
+			a := &g.arcs[ai]
+			if !s.alive[a.To] {
+				continue
 			}
+			if int32(a.To) == want && s.pol[v] < 0 {
+				s.pol[v] = k
+			}
+			s.arcHead[k] = int32(a.To)
+			s.arcL[k] = float64(a.L)
+			s.arcHF[k] = a.HF
+			s.arcOrig[k] = ai
+			k++
+		}
+		if s.pol[v] < 0 {
+			s.pol[v] = s.arcStart[v]
 		}
 	}
+	s.arcStart[n] = k
+}
+
+// PolicyHeads appends to dst, for every node of the graph last solved, the
+// head of its final Howard policy arc (−1 for nodes outside the cyclic
+// core) and returns the extended slice: the heads argument of a warm
+// SolveWarmCtx on a related graph. It is meaningful only after a
+// resolution that did not fail with ErrNoCycle.
+func (s *Solver) PolicyHeads(dst []int32) []int32 {
+	for _, k := range s.pol {
+		if k < 0 {
+			dst = append(dst, -1)
+		} else {
+			dst = append(dst, s.arcHead[k])
+		}
+	}
+	return dst
+}
+
+// howard runs max-ratio policy iteration over the compact arc stream,
+// starting from the policy compact set, and returns an uncertified
+// candidate result. It stops at the policy fixpoint: the first round in
+// which no node's arc changes.
+func (s *Solver) howard(ctx context.Context, g *Graph, opt Options) (Result, error) {
+	maxRounds := opt.MaxHowardRounds
+	if maxRounds <= 0 {
+		maxRounds = DefaultHowardRounds
+	}
+	n := g.n
+	s.lambda = growFloat64(s.lambda, n)
+	s.val = growFloat64(s.val, n)
+	start, head, arcL, arcHF := s.arcStart, s.arcHead, s.arcL, s.arcHF
 
 	rounds := 0
 	for round := 0; round < maxRounds; round++ {
@@ -222,7 +297,6 @@ func (s *Solver) howard(ctx context.Context, g *Graph, opt Options) (Result, err
 		if err := s.evaluatePolicy(g); err != nil {
 			return Result{}, err
 		}
-		arcs := g.arcs
 		improved := false
 		// Phase A: strict λ improvement.
 		for v := 0; v < n; v++ {
@@ -230,15 +304,11 @@ func (s *Solver) howard(ctx context.Context, g *Graph, opt Options) (Result, err
 				continue
 			}
 			cur := s.pol[v]
-			curL := s.lambda[arcs[cur].To]
+			curL := s.lambda[head[cur]]
 			best, bestL := cur, curL
-			for _, ai := range g.Out(v) {
-				w := arcs[ai].To
-				if !s.alive[w] {
-					continue
-				}
-				if gtEps(s.lambda[w], bestL) {
-					best, bestL = ai, s.lambda[w]
+			for k := start[v]; k < start[v+1]; k++ {
+				if lw := s.lambda[head[k]]; gtEps(lw, bestL) {
+					best, bestL = k, lw
 				}
 			}
 			if best != cur && gtEps(bestL, curL) {
@@ -249,7 +319,11 @@ func (s *Solver) howard(ctx context.Context, g *Graph, opt Options) (Result, err
 		if improved {
 			continue
 		}
-		// Phase B: value improvement at equal λ.
+		// Phase B: value improvement at equal λ. Only a changed arc counts
+		// as an improvement: on a long circuit with large weights the
+		// float closing defect can make a node "improve" onto the arc it
+		// already holds, and re-evaluating an unchanged policy would
+		// repeat the same round until maxRounds.
 		for v := 0; v < n; v++ {
 			if !s.alive[v] {
 				continue
@@ -257,20 +331,21 @@ func (s *Solver) howard(ctx context.Context, g *Graph, opt Options) (Result, err
 			lv := s.lambda[v]
 			cur := s.val[v]
 			pol := s.pol[v]
-			for _, ai := range g.Out(v) {
-				a := &arcs[ai]
-				w := a.To
-				if !s.alive[w] || gtEps(lv, s.lambda[w]) || gtEps(s.lambda[w], lv) {
+			for k := start[v]; k < start[v+1]; k++ {
+				w := head[k]
+				if gtEps(lv, s.lambda[w]) || gtEps(s.lambda[w], lv) {
 					continue
 				}
-				cand := float64(a.L) - lv*a.HF + s.val[w]
+				cand := arcL[k] - lv*arcHF[k] + s.val[w]
 				if gtEps(cand, cur) {
-					pol = ai
+					pol = k
 					cur = cand
-					improved = true
 				}
 			}
-			s.pol[v] = pol
+			if pol != s.pol[v] {
+				s.pol[v] = pol
+				improved = true
+			}
 		}
 		if !improved {
 			break
@@ -310,7 +385,7 @@ func (s *Solver) evaluatePolicy(g *Graph) error {
 	}
 	s.best = s.best[:0]
 	bestRatio := math.Inf(-1)
-	arcs := g.arcs
+	head, arcL, arcHF := s.arcHead, s.arcL, s.arcHF
 	for start := 0; start < n; start++ {
 		if !s.alive[start] || s.color[start] != white {
 			continue
@@ -320,7 +395,7 @@ func (s *Solver) evaluatePolicy(g *Graph) error {
 		for s.alive[v] && s.color[v] == white {
 			s.color[v] = grey
 			s.order = append(s.order, int32(v))
-			v = arcs[s.pol[v]].To
+			v = int(head[s.pol[v]])
 		}
 		if s.color[v] == grey {
 			// Found a new policy circuit: the suffix of order from v.
@@ -331,7 +406,7 @@ func (s *Solver) evaluatePolicy(g *Graph) error {
 			cyc := s.order[first:]
 			s.cycle = s.cycle[:0]
 			for _, u := range cyc {
-				s.cycle = append(s.cycle, int(s.pol[u]))
+				s.cycle = append(s.cycle, int(s.arcOrig[s.pol[u]]))
 			}
 			l, h := g.CycleLH(s.cycle)
 			if infeasibleCycle(l, h) {
@@ -367,9 +442,8 @@ func (s *Solver) evaluatePolicy(g *Graph) error {
 			s.val[v] = 0
 			if !math.IsInf(lam, -1) {
 				for i := len(cyc) - 1; i >= 1; i-- {
-					u := cyc[i]
-					a := &arcs[s.pol[u]]
-					s.val[u] = float64(a.L) - lam*a.HF + s.val[a.To]
+					k := s.pol[cyc[i]]
+					s.val[cyc[i]] = arcL[k] - lam*arcHF[k] + s.val[head[k]]
 				}
 			} else {
 				for _, u := range cyc {
@@ -387,12 +461,12 @@ func (s *Solver) evaluatePolicy(g *Graph) error {
 			if s.color[u] == black {
 				continue
 			}
-			a := &arcs[s.pol[u]]
-			s.lambda[u] = s.lambda[a.To]
+			k := s.pol[u]
+			s.lambda[u] = s.lambda[head[k]]
 			if math.IsInf(s.lambda[u], -1) {
 				s.val[u] = 0
 			} else {
-				s.val[u] = float64(a.L) - s.lambda[u]*a.HF + s.val[a.To]
+				s.val[u] = arcL[k] - s.lambda[u]*arcHF[k] + s.val[head[k]]
 			}
 			s.color[u] = black
 		}
